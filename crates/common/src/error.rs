@@ -33,6 +33,9 @@ pub enum Error {
     /// stalled peer). The outcome of the in-flight operation is unknown,
     /// so retries must be idempotent.
     Timeout(String),
+    /// A message would exceed the wire protocol's frame bound. Definitive:
+    /// resending the same request produces the same oversize message.
+    TooLarge(String),
 }
 
 impl Error {
@@ -106,6 +109,16 @@ impl Error {
         Error::Timeout(msg.into())
     }
 
+    /// True if this error is [`Error::TooLarge`].
+    pub fn is_too_large(&self) -> bool {
+        matches!(self, Error::TooLarge(_))
+    }
+
+    /// Convenience constructor for [`Error::TooLarge`].
+    pub fn too_large(msg: impl Into<String>) -> Self {
+        Error::TooLarge(msg.into())
+    }
+
     /// True if a client may safely retry the operation that produced this
     /// error (after reconnecting and backing off).
     ///
@@ -131,6 +144,7 @@ impl fmt::Display for Error {
             Error::NoSpace(m) => write!(f, "no space: {m}"),
             Error::Busy(m) => write!(f, "busy: {m}"),
             Error::Timeout(m) => write!(f, "timeout: {m}"),
+            Error::TooLarge(m) => write!(f, "too large: {m}"),
         }
     }
 }
@@ -198,6 +212,7 @@ mod tests {
         assert!(!Error::io("reset").is_retryable());
         assert!(!Error::corruption("crc").is_retryable());
         assert!(!Error::no_space("full").is_retryable());
+        assert!(!Error::too_large("frame").is_retryable());
     }
 
     #[test]

@@ -184,23 +184,33 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
+/// Write `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied with one `push_str` each; every delimiter is ASCII, so a run
+/// boundary is always a char boundary of `s`.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if short.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(short);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -333,6 +343,20 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash
+            // or control byte in one step: validating per character would
+            // make the string quadratic in its length.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = std::str::from_utf8(&rest[..run])
+                    .map_err(|_| Error::corruption("invalid UTF-8 in JSON string"))?;
+                s.push_str(text);
+                self.pos += run;
+            }
             let c = self
                 .peek()
                 .ok_or_else(|| Error::corruption("unterminated JSON string"))?;
@@ -386,18 +410,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(Error::corruption("bad escape character")),
                     }
                 }
-                _ => {
-                    // Consume one UTF-8 encoded character.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| Error::corruption("invalid UTF-8 in JSON string"))?;
-                    let ch = text.chars().next().unwrap();
-                    if (ch as u32) < 0x20 {
-                        return Err(Error::corruption("unescaped control character"));
-                    }
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                _ => return Err(Error::corruption("unescaped control character")),
             }
         }
     }
@@ -582,6 +595,79 @@ mod tests {
         assert_eq!(Value::Null.as_f64(), None);
     }
 
+    #[test]
+    fn writer_bytes_are_pinned() {
+        for (input, want) in [
+            ("", r#""""#),
+            ("plain text", r#""plain text""#),
+            ("a\"b\\c/d", r#""a\"b\\c/d""#),
+            ("\n\r\t\u{8}\u{c}", r#""\n\r\t\b\f""#),
+            (
+                "\u{0}\u{1}\u{1f}x\u{7f}",
+                "\"\\u0000\\u0001\\u001fx\u{7f}\"",
+            ),
+            ("é😀ß", "\"é😀ß\""),
+            ("é\"😀\n", "\"é\\\"😀\\n\""),
+        ] {
+            assert_eq!(Value::str(input).to_json(), want, "input {input:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_raw_control_bytes_in_strings() {
+        for bad in ["\"a\u{1}b\"", "\"\n\"", "\"é\u{1f}\""] {
+            assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    /// Best of several timings of `f`, so one descheduled run on a busy
+    /// host does not decide the ratio.
+    fn best_of(mut f: impl FnMut()) -> std::time::Duration {
+        (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                f();
+                t.elapsed()
+            })
+            .min()
+            .expect("five timings")
+    }
+
+    #[test]
+    fn parse_and_write_are_linear_in_string_length() {
+        // One string-heavy shape: a document whose text mixes ASCII runs,
+        // multi-byte characters and escapes. Linear code takes ~8x as
+        // long at 8n; a per-character scan of the remaining input took
+        // ~64x.
+        let doc = |n: usize| {
+            let unit = "tweet text é 😀 \"quoted\"\n";
+            let text = unit.repeat(n / unit.len() + 1);
+            Value::object([("UserID", Value::str("u1")), ("Text", Value::str(text))])
+        };
+        let (small, large) = (doc(32 << 10), doc(256 << 10));
+        let (small_text, large_text) = (small.to_json(), large.to_json());
+        let parse = |text: &str| {
+            best_of(|| {
+                std::hint::black_box(Value::parse(std::hint::black_box(text)).expect("parse"));
+            })
+        };
+        let write = |v: &Value| {
+            best_of(|| {
+                std::hint::black_box(std::hint::black_box(v).to_json());
+            })
+        };
+        for (what, t_small, t_large) in [
+            ("parse", parse(&small_text), parse(&large_text)),
+            ("to_json", write(&small), write(&large)),
+        ] {
+            let ratio = t_large.as_secs_f64() / t_small.as_secs_f64().max(1e-9);
+            assert!(
+                ratio <= 24.0,
+                "{what}: 8x input took {ratio:.1}x as long ({t_small:?} -> {t_large:?})"
+            );
+        }
+    }
+
     fn arb_json(depth: u32) -> BoxedStrategy<Value> {
         let leaf = prop_oneof![
             Just(Value::Null),
@@ -593,7 +679,10 @@ mod tests {
             } else {
                 Value::Float(f)
             }),
-            "[a-zA-Z0-9 _\\-\"\\\\\n\t]{0,20}".prop_map(Value::Str),
+            // Multi-byte text, every short escape, `/`, and raw control
+            // bytes (written as `\u00XX`).
+            "[a-zA-Z0-9 _\\-\"\\\\/\n\t\r\u{8}\u{c}\u{0}\u{1}\u{1f}\u{7f}éß😀]{0,20}"
+                .prop_map(Value::Str),
         ];
         if depth == 0 {
             leaf.boxed()

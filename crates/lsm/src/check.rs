@@ -29,8 +29,9 @@
 //!
 //! The checker is meant for a quiesced database — freshly opened, or one
 //! with no maintenance in flight. A concurrent compaction can legitimately
-//! create not-yet-referenced output files or defer deletions for pinned
-//! snapshots, which the file-set check would report as orphans.
+//! create not-yet-referenced output files, which the file-set check would
+//! report as orphans. Compaction inputs whose deletion is deferred while a
+//! reader still holds them are tracked by the database and not reported.
 //!
 //! The stand-alone index cross-check (index entries pointing at
 //! nonexistent primary records) lives in `ldbpp-core`, which knows the
@@ -241,12 +242,15 @@ pub fn check_db(db: &Db) -> IntegrityReport {
             }
         }
     }
+    // Compaction inputs still held by a reader are tracked for deletion,
+    // not orphaned.
+    let pending_gc: HashSet<u64> = db.pending_gc().into_iter().collect();
     match env.list(name) {
         Ok(entries) => {
             for entry in entries {
                 if let Some(stem) = entry.strip_suffix(".ldb") {
                     match stem.parse::<u64>() {
-                        Ok(n) if live.contains(&n) => {}
+                        Ok(n) if live.contains(&n) || pending_gc.contains(&n) => {}
                         Ok(n) => ck.report.push(
                             CheckCode::OrphanFile,
                             format!("{name}/{entry} (file {n}) is not referenced by the version"),

@@ -706,25 +706,35 @@ impl Db {
     /// Block until the background worker has no pending flush and no due
     /// compaction (no-op in foreground mode). Returns any error the worker
     /// hit. Useful in tests and benchmarks that want a settled tree.
+    ///
+    /// Also deletes compaction inputs whose deletion was deferred while a
+    /// reader still held them: otherwise they would stay on disk until the
+    /// next compaction, which an idle database never runs.
     pub fn wait_for_background_idle(&self) -> Result<()> {
-        if !self.core.opts.background_work {
-            return Ok(());
-        }
         let core = &self.core;
-        let mut inner = core.inner.lock();
-        loop {
-            core.check_bg_error()?;
-            let rs = core.read_state();
-            let flush_pending = rs.imm.is_some();
-            let compaction_due = core.opts.auto_compact
-                && pick_compaction(&core.opts, &rs.version, &inner.versions.compact_pointer)
-                    .is_some();
-            if !flush_pending && !compaction_due {
-                return Ok(());
+        if core.opts.background_work {
+            let mut inner = core.inner.lock();
+            loop {
+                core.check_bg_error()?;
+                let rs = core.read_state();
+                let flush_pending = rs.imm.is_some();
+                let compaction_due = core.opts.auto_compact
+                    && pick_compaction(&core.opts, &rs.version, &inner.versions.compact_pointer)
+                        .is_some();
+                if !flush_pending && !compaction_due {
+                    break;
+                }
+                core.kick_worker();
+                core.work_cond.wait(&mut inner);
             }
-            core.kick_worker();
-            core.work_cond.wait(&mut inner);
         }
+        core.gc();
+        Ok(())
+    }
+
+    /// Compaction inputs queued for deletion but still held by a reader.
+    pub(crate) fn pending_gc(&self) -> Vec<u64> {
+        self.core.pending_gc.lock().clone()
     }
     // -- read path ----------------------------------------------------------
 

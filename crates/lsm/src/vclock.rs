@@ -37,10 +37,12 @@
 //! are totally ordered and transitively synchronised — the checker
 //! verifies ranges never overlap and never dip below the observed
 //! recovery watermark, and propagates the RMW chain's happens-before
-//! into thread clocks. (Range/watermark bookkeeping assumes checker
-//! calls happen in RMW order; under the model scheduler this is exact
-//! because execution is serialised, and in ordinary `check` tests
-//! opens — the only `observe` callers — don't race allocations.)
+//! into thread clocks. (The RMW and its checker call are two steps, so
+//! concurrent allocators may record their ranges out of RMW order: the
+//! overlap check does not depend on that order, and the watermark only
+//! tracks `observe`d sequences, not allocations. Under the model
+//! scheduler execution is serialised; in ordinary `check` tests opens —
+//! the only `observe` callers — don't race allocations.)
 //!
 //! All state lives behind one `std::sync` mutex; the module is compiled
 //! out entirely without `check`, so the production read path keeps its
@@ -91,7 +93,9 @@ struct DomainState {
 struct SeqDomainState {
     /// Allocated ranges `start -> end` (inclusive), pairwise disjoint.
     ranges: BTreeMap<u64, u64>,
-    /// Highest sequence known handed out or observed.
+    /// Highest sequence observed (recovered); allocations must stay
+    /// above it. Allocations do not raise it: concurrent allocators may
+    /// record their ranges out of RMW order.
     watermark: u64,
     /// Join of every allocator/observer clock (the RMW chain's
     /// cumulative happens-before).
@@ -376,7 +380,6 @@ impl SeqDomain {
                 );
             }
             ds.ranges.insert(start, end);
-            ds.watermark = ds.watermark.max(end);
             let clock = &mut st.clocks[slot];
             if clock.len() <= slot {
                 clock.resize(slot + 1, 0);
@@ -427,5 +430,35 @@ impl Drop for SeqDomain {
         with_state(|st, _| {
             st.seq_domains.remove(&self.id);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn allocations_recorded_out_of_rmw_order_are_not_a_violation() {
+        // Two writers' fetch_adds return [10, 10] and then [11, 11], but the
+        // second writer reaches the checker first.
+        let d = SeqDomain::new(9);
+        d.allocate(11, 1);
+        d.allocate(10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping the earlier allocation")]
+    fn overlapping_allocations_are_caught() {
+        let d = SeqDomain::new(0);
+        d.allocate(5, 3);
+        d.allocate(7, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or below the observed watermark")]
+    fn allocation_at_an_observed_sequence_is_caught() {
+        let d = SeqDomain::new(0);
+        d.observe(20);
+        d.allocate(20, 1);
     }
 }

@@ -147,6 +147,48 @@ fn orphan_file_detected() {
 }
 
 #[test]
+fn deferred_compaction_inputs_are_tracked_then_reclaimed_when_idle() {
+    let env = MemEnv::new();
+    let db = Db::open(
+        env.clone(),
+        DB,
+        DbOptions {
+            background_work: true,
+            ..opts()
+        },
+    )
+    .unwrap();
+    for i in 0..40 {
+        db.put(&key(i), &val(i)).unwrap();
+        if i == 19 {
+            db.flush().unwrap();
+        }
+    }
+    db.flush().unwrap();
+    // A reader holding the current version pins its files across the
+    // compaction, so their deletion is deferred.
+    let pinned = db.current_version();
+    let inputs = l0_files(&db);
+    assert!(!inputs.is_empty());
+    db.major_compact().unwrap();
+    for n in &inputs {
+        assert!(env.exists(&table_file_name(DB, *n)), "file {n} is pinned");
+    }
+    let report = db.check_integrity();
+    assert!(report.is_clean(), "pinned inputs are not orphans: {report}");
+
+    // Once the reader is gone, an idle database reclaims them without
+    // waiting for another compaction.
+    drop(pinned);
+    db.wait_for_background_idle().unwrap();
+    for n in &inputs {
+        assert!(!env.exists(&table_file_name(DB, *n)), "file {n} reclaimed");
+    }
+    let report = db.check_integrity();
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
 fn truncated_file_detected() {
     let base = MemEnv::new();
     let env = FaultEnv::new(base);

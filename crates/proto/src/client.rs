@@ -96,7 +96,9 @@ impl Client {
                 "connection desynced by an earlier transport failure; reconnect required",
             ));
         }
-        let frame = req.encode(id);
+        // An oversize request is refused before any byte is sent, so the
+        // connection stays in sync.
+        let frame = req.try_encode(id)?;
         self.stream
             .write_all(&frame)
             .map_err(|e| self.desync(io_to_error("send request", &e)))?;

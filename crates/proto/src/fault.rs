@@ -724,7 +724,7 @@ mod tests {
 
     #[test]
     fn fault_stream_garbles_at_exact_offset() {
-        let frame = encode_frame(b"hello frame");
+        let frame = encode_frame(b"hello frame").unwrap();
         let mut fs = FaultStream::new(
             &frame[..],
             ByteFaultPlan {
@@ -739,7 +739,7 @@ mod tests {
 
     #[test]
     fn fault_stream_short_reads_still_deliver_frames() {
-        let frame = encode_frame(b"short reads");
+        let frame = encode_frame(b"short reads").unwrap();
         let mut fs = FaultStream::new(
             &frame[..],
             ByteFaultPlan {
@@ -752,7 +752,7 @@ mod tests {
 
     #[test]
     fn fault_stream_fails_read_at_offset() {
-        let frame = encode_frame(b"cut me");
+        let frame = encode_frame(b"cut me").unwrap();
         let mut fs = FaultStream::new(
             &frame[..],
             ByteFaultPlan {

@@ -10,7 +10,10 @@
 //! outcome unknown). *Fatal*: everything the server answered
 //! definitively — engine errors like `NotFound`/`InvalidArgument`
 //! arrive as well-formed error responses and are returned to the
-//! caller, not retried (a retry cannot change them).
+//! caller, not retried (a retry cannot change them). [`Error::TooLarge`]
+//! is fatal from either side: a request over the frame bound is refused
+//! before it is sent, and a response over it comes back as a `TooLarge`
+//! error on a connection that stays in sync.
 //!
 //! "Outcome unknown" is what makes naive retries double-apply writes.
 //! Every `RetryClient` therefore owns a random session id, announces it

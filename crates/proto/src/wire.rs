@@ -176,6 +176,10 @@ pub enum ErrorCode {
     ShuttingDown,
     /// An operation exceeded its deadline on the server side.
     Timeout,
+    /// The response would exceed [`MAX_FRAME_LEN`]; the request was
+    /// executed but its answer cannot be sent. Definitive: a resend
+    /// gets the same answer.
+    TooLarge,
 }
 
 impl ErrorCode {
@@ -191,6 +195,7 @@ impl ErrorCode {
             ErrorCode::Busy => 7,
             ErrorCode::ShuttingDown => 8,
             ErrorCode::Timeout => 9,
+            ErrorCode::TooLarge => 10,
         }
     }
 
@@ -206,6 +211,7 @@ impl ErrorCode {
             7 => ErrorCode::Busy,
             8 => ErrorCode::ShuttingDown,
             9 => ErrorCode::Timeout,
+            10 => ErrorCode::TooLarge,
             other => return Err(Error::corruption(format!("unknown error code {other}"))),
         })
     }
@@ -228,6 +234,7 @@ impl ErrorCode {
             ErrorCode::Busy => Error::busy(format!("server busy: {message}")),
             ErrorCode::ShuttingDown => Error::io(format!("server shutting down: {message}")),
             ErrorCode::Timeout => Error::timeout(message),
+            ErrorCode::TooLarge => Error::too_large(message),
         }
     }
 
@@ -242,6 +249,7 @@ impl ErrorCode {
             Error::NoSpace(_) => ErrorCode::NoSpace,
             Error::Busy(_) => ErrorCode::Busy,
             Error::Timeout(_) => ErrorCode::Timeout,
+            Error::TooLarge(_) => ErrorCode::TooLarge,
         }
     }
 }
@@ -347,12 +355,20 @@ const RESP_ERR_BIT: u8 = 0x80;
 // -- framing ----------------------------------------------------------------
 
 /// Wrap a payload into a full frame (length prefix + payload + masked CRC).
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_fixed32(&mut out, (payload.len() + 4) as u32);
+/// A frame whose `len` would exceed [`MAX_FRAME_LEN`] is
+/// [`Error::TooLarge`]: the peer would reject it and drop the connection.
+pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
+    let len = payload.len() + 4;
+    let Some(prefix) = u32::try_from(len).ok().filter(|_| len <= MAX_FRAME_LEN) else {
+        return Err(Error::too_large(format!(
+            "frame length {len} exceeds {MAX_FRAME_LEN}"
+        )));
+    };
+    let mut out = Vec::with_capacity(len + 4);
+    put_fixed32(&mut out, prefix);
     out.extend_from_slice(payload);
     put_fixed32(&mut out, crc32c::mask(crc32c::crc32c(payload)));
-    out
+    Ok(out)
 }
 
 /// Validate `body` (everything after the length prefix: payload + CRC)
@@ -532,8 +548,17 @@ fn get_bool(c: &mut Cursor<'_>) -> Result<bool> {
 // -- request coding ---------------------------------------------------------
 
 impl Request {
-    /// Encode as a full frame carrying `request_id`.
+    /// Encode as a full frame carrying `request_id`, for a request known
+    /// to fit in one frame. Panics on an oversize request; code that
+    /// sends caller-supplied requests uses [`Request::try_encode`].
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
+        self.try_encode(request_id)
+            .expect("request frame exceeds MAX_FRAME_LEN")
+    }
+
+    /// Encode as a full frame carrying `request_id`, or
+    /// [`Error::TooLarge`] if it would exceed [`MAX_FRAME_LEN`].
+    pub fn try_encode(&self, request_id: u64) -> Result<Vec<u8>> {
         let mut p = Vec::new();
         put_varint64(&mut p, request_id);
         match self {
@@ -678,7 +703,10 @@ pub fn salvage_request_id(payload: &[u8]) -> u64 {
 // -- response coding --------------------------------------------------------
 
 impl Response {
-    /// Encode as a full frame echoing `request_id`.
+    /// Encode as a full frame echoing `request_id`. A response that would
+    /// exceed [`MAX_FRAME_LEN`] is replaced by a [`ErrorCode::TooLarge`]
+    /// error response, so the peer gets a typed answer on a connection
+    /// that stays in sync.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
         let mut p = Vec::new();
         put_varint64(&mut p, request_id);
@@ -733,7 +761,7 @@ impl Response {
                 put_varint64(&mut p, *retry_after_ms);
             }
         }
-        encode_frame(&p)
+        encode_frame(&p).unwrap_or_else(|e| Response::from_error(&e).encode(request_id))
     }
 
     /// Decode a response payload into `(request_id, response)`.
@@ -805,12 +833,41 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_and_crc_guard() {
-        let frame = encode_frame(b"hello");
+        let frame = encode_frame(b"hello").unwrap();
         assert_eq!(decode_fixed32(&frame) as usize, 5 + 4);
         assert_eq!(check_frame(&frame[4..]).unwrap(), b"hello");
         let mut bad = frame.clone();
         bad[5] ^= 0x40;
         assert!(check_frame(&bad[4..]).unwrap_err().is_corruption());
+    }
+
+    #[test]
+    fn oversize_messages_are_too_large_not_truncated() {
+        // The largest payload that fits, then one byte more.
+        let fits = vec![0u8; MAX_FRAME_LEN - 4];
+        let frame = encode_frame(&fits).unwrap();
+        assert_eq!(decode_fixed32(&frame) as usize, MAX_FRAME_LEN);
+        drop(frame);
+        let over = vec![0u8; MAX_FRAME_LEN - 3];
+        assert!(encode_frame(&over).unwrap_err().is_too_large());
+
+        let put = Request::Put {
+            pk: b"k".to_vec(),
+            doc: over,
+        };
+        assert!(put.try_encode(1).unwrap_err().is_too_large());
+
+        // An oversize response goes out as a typed error under the same id.
+        let big = Response::Doc(Some(vec![b'x'; MAX_FRAME_LEN]));
+        let frame = big.encode(77);
+        let (id, back) = Response::decode(check_frame(&frame[4..]).unwrap()).unwrap();
+        assert_eq!(id, 77);
+        let Response::Err { code, message, .. } = back else {
+            panic!("expected an error response, got {back:?}");
+        };
+        assert_eq!(code, ErrorCode::TooLarge);
+        assert!(code.to_error(&message).is_too_large());
+        assert!(!code.to_error(&message).is_retryable());
     }
 
     #[test]
@@ -926,7 +983,7 @@ mod tests {
         let payload = check_frame(&frame[4..]).unwrap();
         let mut padded = payload.to_vec();
         padded.push(0xaa);
-        frame = encode_frame(&padded);
+        frame = encode_frame(&padded).unwrap();
         let payload = check_frame(&frame[4..]).unwrap();
         assert!(Request::decode(payload).unwrap_err().is_corruption());
 
@@ -934,7 +991,7 @@ mod tests {
         let mut p = Vec::new();
         put_varint64(&mut p, 1);
         p.push(0xee);
-        let frame = encode_frame(&p);
+        let frame = encode_frame(&p).unwrap();
         let payload = check_frame(&frame[4..]).unwrap();
         assert!(Request::decode(payload).unwrap_err().is_corruption());
         assert_eq!(salvage_request_id(payload), 1);
@@ -953,6 +1010,7 @@ mod tests {
             ErrorCode::Busy,
             ErrorCode::ShuttingDown,
             ErrorCode::Timeout,
+            ErrorCode::TooLarge,
         ] {
             assert_eq!(ErrorCode::from_u8(code.to_u8()).unwrap(), code);
         }

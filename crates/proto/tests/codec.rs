@@ -94,6 +94,7 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
         Just(ErrorCode::Busy),
         Just(ErrorCode::ShuttingDown),
         Just(ErrorCode::Timeout),
+        Just(ErrorCode::TooLarge),
     ]
 }
 
@@ -226,7 +227,9 @@ fn unknown_opcode_gets_protocol_error_and_connection_survives() {
     let mut payload = Vec::new();
     put_varint64(&mut payload, 77);
     payload.push(0x6f); // no such opcode
-    client.send_raw(&encode_frame(&payload)).expect("send");
+    client
+        .send_raw(&encode_frame(&payload).expect("frame"))
+        .expect("send");
     let (id, resp) = client.read_response().expect("read error reply");
     assert_eq!(id, 77, "id salvages from a well-framed bad body");
     assert!(matches!(

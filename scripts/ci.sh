@@ -50,7 +50,11 @@
 #  10. repair smoke: build a real on-disk database, corrupt a table,
 #      `ldbpp_tool repair` it (must exit non-zero and quarantine the
 #      damaged file), verify with the `check` binary, and reopen;
-#  11. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
+#  11. serving-benchmark self-test (`servebench/run.py --selftest`): the
+#      benchmark's own unit tests, then a tiny traced and untraced run of
+#      each workload against a real ldbpp_server, checked against the
+#      metric names and units of BENCHMARK.json;
+#  12. documentation (`scripts/check_docs.sh`: rustdoc with -D warnings
 #      plus markdown link check, and grep gates pinning DESIGN.md §14,
 #      §15, §16, §18 + the README's group-commit, sharding, server,
 #      and chaos coverage).
@@ -165,6 +169,9 @@ server_pid=""
 
 echo "== repair smoke: corrupt -> repair -> check -> reopen =="
 ./scripts/repair_smoke.sh
+
+echo "== serving benchmark self-test =="
+python3 servebench/run.py --selftest
 
 ./scripts/check_docs.sh
 

@@ -2,7 +2,9 @@
 //! ephemeral port, `LDBPP_SHARDS=2`, eight concurrent TCP clients doing
 //! mixed PUT/LOOKUP/RANGELOOKUP, final results checked against a serial
 //! in-process oracle, then graceful shutdown and a clean
-//! `ldbpp_tool check` over the data directory.
+//! `ldbpp_tool check` over the data directory. A second test checks the
+//! outgoing frame bound: an answer too large for one frame is a single
+//! typed error, not a retry storm or a broken connection.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -10,7 +12,7 @@ use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::Duration;
 
-use ldbpp_proto::{Client, WireValue};
+use ldbpp_proto::{Client, RetryClient, RetryPolicy, WireValue, MAX_FRAME_LEN};
 use leveldbpp::{DbOptions, Document, IndexKind, MemEnv, SecondaryDb, SecondaryDbOptions, Value};
 
 const THREADS: usize = 8;
@@ -250,5 +252,68 @@ fn eight_concurrent_clients_match_serial_oracle() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversize_answer_is_one_definitive_too_large() {
+    let dir = std::env::temp_dir().join(format!("ldbpp-e2e-big-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let db_dir = dir.join("db").to_str().expect("utf8 path").to_string();
+    let (mut child, addr) = spawn_server(&db_dir);
+
+    let policy = RetryPolicy {
+        timeout: Duration::from_secs(60),
+        ..RetryPolicy::default()
+    };
+    let mut client = RetryClient::with_session(addr.to_string(), policy, 0xb16);
+    // Four 9 MiB documents under one UserID: each fits in a frame, all
+    // four together (36 MiB) do not.
+    let text = "x".repeat(9 << 20);
+    for i in 0..4 {
+        let mut doc = Document::new();
+        doc.set("UserID", Value::str("big"))
+            .set("CreationTime", Value::Int(i))
+            .set("Text", Value::str(text.as_str()));
+        client
+            .put(format!("big{i}").as_bytes(), &doc.to_bytes())
+            .expect("put 9 MiB document");
+    }
+
+    let before = client.retry_stats();
+    let err = client
+        .lookup("UserID", WireValue::Str("big".into()), None)
+        .expect_err("36 MiB of hits cannot fit in one frame");
+    assert!(err.is_too_large(), "want TooLarge, got {err}");
+    let after = client.retry_stats();
+    assert_eq!(
+        after.attempts - before.attempts,
+        1,
+        "TooLarge is never resent"
+    );
+    assert_eq!(
+        after.reconnects, before.reconnects,
+        "the connection stayed in sync"
+    );
+
+    // A request over the bound is refused before it is sent.
+    let err = client
+        .put(b"huge", &vec![b' '; MAX_FRAME_LEN])
+        .expect_err("request over the frame bound");
+    assert!(err.is_too_large(), "want TooLarge, got {err}");
+    assert_eq!(client.retry_stats().attempts - after.attempts, 1);
+
+    // The same connection still serves the next request.
+    let got = client.get(b"big0").expect("get").expect("present");
+    let doc = Document::parse(&got).expect("doc");
+    assert_eq!(doc.get("UserID").and_then(Value::as_str), Some("big"));
+    assert_eq!(client.retry_stats().reconnects, before.reconnects);
+
+    Client::connect_with_timeout(addr, Duration::from_secs(60))
+        .and_then(|mut c| c.shutdown())
+        .expect("graceful shutdown");
+    let status = child.wait().expect("wait server");
+    assert!(status.success(), "server exit status {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
